@@ -1,13 +1,18 @@
 //! Criterion micro-benchmarks over the reproduction's hot paths: the
-//! simulation kernel, tag embedding, frame compression, neural-network
-//! inference and a full pipeline second.
+//! simulation kernel, tag embedding, frame compression, the per-frame pixel
+//! kernels (each beside its `*_reference` seed implementation, timed in the
+//! same run), neural-network inference and a full pipeline second.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use pictor_apps::{AppId, HumanPolicy, World};
 use pictor_bench::fixtures::{conv_d_out, conv_fixture, lstm_d_h, lstm_fixture};
 use pictor_client::ic::{IcTrainConfig, IntelligentClient};
-use pictor_gfx::{embed_tag, extract_tag, CompressionModel, Tag};
+use pictor_client::vision::{cell_std, cell_std_reference, GRID_H, GRID_W};
+use pictor_gfx::{
+    draw_scene_into, draw_scene_into_reference, embed_tag, extract_tag, CompressionModel, Frame,
+    SceneObject, Tag,
+};
 use pictor_ml::Scratch;
 use pictor_render::{CloudSystem, HumanDriver, SystemConfig};
 use pictor_sim::{EventQueue, SeedTree, SimDuration, SimTime};
@@ -55,6 +60,58 @@ fn bench_compression(c: &mut Criterion) {
     let model = CompressionModel::tight_encoding();
     c.bench_function("compress_frame_delta", |b| {
         b.iter(|| model.compress(&next, Some(&prev)));
+    });
+}
+
+/// A mid-game SuperTuxKart scene as the rasterizer sees it, plus two
+/// consecutive rendered frames of it.
+fn pixel_fixture() -> (Vec<SceneObject>, Frame, Frame) {
+    let mut world = World::new(AppId::SuperTuxKart, SeedTree::new(7).stream("w"));
+    world.advance(1.0);
+    let prev = world.render();
+    world.advance(1.0 / 30.0);
+    let next = world.render();
+    let objects = world
+        .ground_truth()
+        .iter()
+        .enumerate()
+        .map(|(i, d)| SceneObject::new(d.class, d.x, d.y, d.size, 0.37 * i as f64))
+        .collect();
+    (objects, prev, next)
+}
+
+fn bench_pixel_kernels(c: &mut Criterion) {
+    let (objects, prev, next) = pixel_fixture();
+    let mut out = Frame::new(0);
+    c.bench_function("raster_draw_scene", |b| {
+        b.iter(|| draw_scene_into(&mut out, &objects, 0.31, 0.62));
+    });
+    c.bench_function("raster_draw_scene_reference", |b| {
+        b.iter(|| draw_scene_into_reference(&mut out, &objects, 0.31, 0.62));
+    });
+    c.bench_function("frame_entropy", |b| b.iter(|| next.entropy()));
+    c.bench_function("frame_entropy_reference", |b| {
+        b.iter(|| next.entropy_reference())
+    });
+    c.bench_function("frame_diff_fraction", |b| {
+        b.iter(|| next.diff_fraction(&prev))
+    });
+    c.bench_function("frame_diff_fraction_reference", |b| {
+        b.iter(|| next.diff_fraction_reference(&prev))
+    });
+    // The variance gate over every cell of the frame, as `detect` runs it.
+    let all_cells = |f: fn(&Frame, usize, usize) -> f64| {
+        let mut acc = 0.0;
+        for cy in 0..GRID_H {
+            for cx in 0..GRID_W {
+                acc += f(&next, cx, cy);
+            }
+        }
+        acc
+    };
+    c.bench_function("vision_cell_std", |b| b.iter(|| all_cells(cell_std)));
+    c.bench_function("vision_cell_std_reference", |b| {
+        b.iter(|| all_cells(cell_std_reference))
     });
 }
 
@@ -172,4 +229,10 @@ criterion_group! {
               bench_conv_backward, bench_lstm_seq, bench_ic_inference,
               bench_pipeline_second
 }
-criterion_main!(benches);
+// The pixel kernels take microseconds, so take more samples per row.
+criterion_group! {
+    name = pixel_benches;
+    config = Criterion::default().sample_size(501);
+    targets = bench_pixel_kernels
+}
+criterion_main!(benches, pixel_benches);

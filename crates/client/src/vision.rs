@@ -13,6 +13,8 @@
 //! region proposals). This does not change what the network learns; it only
 //! skips provably boring cells.
 
+use std::sync::OnceLock;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -73,25 +75,79 @@ pub struct VisionModel {
     train_accuracy: f64,
 }
 
+/// Bytes per raster row.
+const ROW_BYTES: usize = SIM_WIDTH * 3;
+/// Values per cell tensor (3 channels × `CELL_H` × `CELL_W`).
+const CELL_LEN: usize = 3 * CELL_H * CELL_W;
+
+/// The `CELL_H` raster rows of cell `(cx, cy)`, `3 · CELL_W` bytes each.
+fn cell_rows(frame: &Frame, cx: usize, cy: usize) -> impl Iterator<Item = &[u8]> {
+    frame
+        .bytes()
+        .chunks_exact(ROW_BYTES)
+        .skip(cy * CELL_H)
+        .take(CELL_H)
+        .map(move |row| &row[cx * CELL_W * 3..(cx + 1) * CELL_W * 3])
+}
+
+/// `f64::from(v) / 255.0 - 0.5` for every byte value.
+fn normalized_bytes() -> &'static [f64; 256] {
+    static TABLE: OnceLock<[f64; 256]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|v| f64::from(v as u8) / 255.0 - 0.5))
+}
+
+/// Writes one cell's normalized pixels into `out` (`CELL_LEN` values in
+/// channel, row, column order — a `[3, CELL_H, CELL_W]` tensor slice).
+fn write_cell(frame: &Frame, cx: usize, cy: usize, out: &mut [f64]) {
+    let norm = normalized_bytes();
+    let (r, rest) = out.split_at_mut(CELL_H * CELL_W);
+    let (g, b) = rest.split_at_mut(CELL_H * CELL_W);
+    let planes = r
+        .chunks_exact_mut(CELL_W)
+        .zip(g.chunks_exact_mut(CELL_W))
+        .zip(b.chunks_exact_mut(CELL_W));
+    for (((r, g), b), row) in planes.zip(cell_rows(frame, cx, cy)) {
+        for (x, px) in row.chunks_exact(3).enumerate() {
+            r[x] = norm[usize::from(px[0])];
+            g[x] = norm[usize::from(px[1])];
+            b[x] = norm[usize::from(px[2])];
+        }
+    }
+}
+
 /// Builds the normalized 3-channel tensor for one cell, backed by scratch
 /// storage (return it to the pool with `ws.put(t.into_vec())`).
 fn cell_tensor(frame: &Frame, cx: usize, cy: usize, ws: &mut Scratch) -> Tensor4 {
-    let mut t = Tensor4::from_vec(1, 3, CELL_H, CELL_W, ws.take(3 * CELL_H * CELL_W));
-    for y in 0..CELL_H {
-        for x in 0..CELL_W {
-            let px = frame.pixel(cx * CELL_W + x, cy * CELL_H + y);
-            for (ch, &v) in px.iter().enumerate() {
-                t.set(0, ch, y, x, f64::from(v) / 255.0 - 0.5);
-            }
-        }
-    }
+    let mut t = Tensor4::from_vec(1, 3, CELL_H, CELL_W, ws.take_uninit(CELL_LEN));
+    write_cell(frame, cx, cy, t.data_mut());
     t
 }
 
-fn cell_std(frame: &Frame, cx: usize, cy: usize) -> f64 {
+/// Standard deviation of cell `(cx, cy)`'s channel bytes — the variance
+/// gate's statistic.
+///
+/// Sums bytes and squared bytes in `u32` (at most `144 · 255² < 2^24`).
+/// Every partial sum of the reference's `f64` accumulation is an integer
+/// below `2^53`, hence exact, so both sums — and the result — are
+/// bit-identical to [`cell_std_reference`]'s.
+pub fn cell_std(frame: &Frame, cx: usize, cy: usize) -> f64 {
+    let (mut sum, mut sum2) = (0u32, 0u32);
+    for row in cell_rows(frame, cx, cy) {
+        for &c in row {
+            let v = u32::from(c);
+            sum += v;
+            sum2 += v * v;
+        }
+    }
+    std_of(f64::from(sum), f64::from(sum2))
+}
+
+/// The seed implementation of [`cell_std`] (per-pixel [`Frame::pixel`]
+/// reads into `f64` sums), kept as the bit-exactness reference for tests
+/// and benchmarks.
+pub fn cell_std_reference(frame: &Frame, cx: usize, cy: usize) -> f64 {
     let mut sum = 0.0;
     let mut sum2 = 0.0;
-    let n = (CELL_W * CELL_H * 3) as f64;
     for y in 0..CELL_H {
         for x in 0..CELL_W {
             let px = frame.pixel(cx * CELL_W + x, cy * CELL_H + y);
@@ -102,6 +158,12 @@ fn cell_std(frame: &Frame, cx: usize, cy: usize) -> f64 {
             }
         }
     }
+    std_of(sum, sum2)
+}
+
+/// Standard deviation from a cell's sum and sum of squares.
+fn std_of(sum: f64, sum2: f64) -> f64 {
+    let n = CELL_LEN as f64;
     let mean = sum / n;
     ((sum2 / n - mean * mean).max(0.0)).sqrt()
 }
@@ -206,16 +268,9 @@ impl VisionModel {
                 // Assemble the mini-batch.
                 let mut batch_in = Tensor4::zeros(chunk.len(), 3, CELL_H, CELL_W);
                 let mut targets = Vec::with_capacity(chunk.len());
-                for (bi, &(fi, cx, cy, label)) in chunk.iter().enumerate() {
-                    let cell = cell_tensor(&session.frames[fi], cx, cy, &mut ws);
-                    for c in 0..3 {
-                        for y in 0..CELL_H {
-                            for x in 0..CELL_W {
-                                batch_in.set(bi, c, y, x, cell.get(0, c, y, x));
-                            }
-                        }
-                    }
-                    ws.put(cell.into_vec());
+                let cells = batch_in.data_mut().chunks_exact_mut(CELL_LEN);
+                for (out, &(fi, cx, cy, label)) in cells.zip(chunk) {
+                    write_cell(&session.frames[fi], cx, cy, out);
                     targets.push(label);
                 }
                 let conv_out = conv.forward(&batch_in, &mut ws);
@@ -432,6 +487,28 @@ mod tests {
         let empty = pictor_gfx::draw_scene(0, &[], 0.3, 0.6);
         let dets = model.detect(&empty, &mut Scratch::new());
         assert!(dets.len() <= 2, "false positives: {dets:?}");
+    }
+
+    #[test]
+    fn cell_tensor_matches_per_pixel_normalization() {
+        let objs = [pictor_gfx::SceneObject::new(4, 0.4, 0.6, 0.3, 0.2)];
+        let frame = pictor_gfx::draw_scene(0, &objs, 0.3, 0.6);
+        let mut ws = Scratch::new();
+        for cy in 0..GRID_H {
+            for cx in 0..GRID_W {
+                let t = cell_tensor(&frame, cx, cy, &mut ws);
+                for y in 0..CELL_H {
+                    for x in 0..CELL_W {
+                        let px = frame.pixel(cx * CELL_W + x, cy * CELL_H + y);
+                        for (ch, &v) in px.iter().enumerate() {
+                            let want = f64::from(v) / 255.0 - 0.5;
+                            assert_eq!(t.get(0, ch, y, x).to_bits(), want.to_bits());
+                        }
+                    }
+                }
+                ws.put(t.into_vec());
+            }
+        }
     }
 
     #[test]

@@ -165,15 +165,37 @@ impl Frame {
 
     /// Shannon entropy of the pixel bytes, in bits per byte (0–8).
     ///
-    /// Drives the compression model: noisy frames compress poorly.
+    /// Drives the compression model: noisy frames compress poorly. Counts
+    /// into four interleaved histograms, so a run of equal bytes does not
+    /// serialize on one counter's load-increment-store; the merged counts,
+    /// and therefore the result, equal [`Frame::entropy_reference`]'s.
     pub fn entropy(&self) -> f64 {
+        let mut counts = [[0u32; 256]; 4];
+        for q in self.pixels.chunks_exact(4) {
+            counts[0][usize::from(q[0])] += 1;
+            counts[1][usize::from(q[1])] += 1;
+            counts[2][usize::from(q[2])] += 1;
+            counts[3][usize::from(q[3])] += 1;
+        }
+        let [a, b, c, d] = counts;
+        self.entropy_of((0..256).map(|i| u64::from(a[i] + b[i] + c[i] + d[i])))
+    }
+
+    /// The seed implementation of [`Frame::entropy`] (one `u64` histogram),
+    /// kept as the bit-exactness reference for tests and benchmarks.
+    pub fn entropy_reference(&self) -> f64 {
         let mut counts = [0u64; 256];
         for &b in &self.pixels {
             counts[b as usize] += 1;
         }
+        self.entropy_of(counts.into_iter())
+    }
+
+    /// Shannon entropy of a byte histogram (counts in byte-value order).
+    fn entropy_of(&self, counts: impl Iterator<Item = u64>) -> f64 {
         let n = self.pixels.len() as f64;
         let mut h = 0.0;
-        for &c in &counts {
+        for c in counts {
             if c > 0 {
                 let p = c as f64 / n;
                 h -= p * p.log2();
@@ -185,8 +207,24 @@ impl Frame {
     /// Fraction of pixels that differ from `other` in any channel.
     ///
     /// Drives both the compression model (VNC encodes deltas) and
-    /// DeskBench's frame-similarity gate.
+    /// DeskBench's frame-similarity gate. Compares eight pixels (three
+    /// 64-bit words) at a time; the changed-pixel count, and therefore the
+    /// result, equals [`Frame::diff_fraction_reference`]'s.
     pub fn diff_fraction(&self, other: &Frame) -> f64 {
+        let total = SIM_WIDTH * SIM_HEIGHT;
+        let diff: u32 = self
+            .pixels
+            .chunks_exact(24)
+            .zip(other.pixels.chunks_exact(24))
+            .map(|(a, b)| changed_pixels_of_8(a, b))
+            .sum();
+        diff as f64 / total as f64
+    }
+
+    /// The seed implementation of [`Frame::diff_fraction`] (one 3-byte
+    /// slice comparison per pixel), kept as the bit-exactness reference for
+    /// tests and benchmarks.
+    pub fn diff_fraction_reference(&self, other: &Frame) -> f64 {
         let mut diff = 0usize;
         let total = SIM_WIDTH * SIM_HEIGHT;
         for i in 0..total {
@@ -211,6 +249,36 @@ impl Frame {
             .sum();
         sum as f64 / (self.pixels.len() as f64 * 255.0)
     }
+}
+
+// `entropy` walks the raster in whole 4-byte quads, `diff_fraction` in whole
+// 8-pixel chunks.
+const _: () = assert!((SIM_WIDTH * SIM_HEIGHT * 3).is_multiple_of(24));
+
+/// How many of the eight RGB pixels in two 24-byte chunks differ in any
+/// channel.
+fn changed_pixels_of_8(a: &[u8], b: &[u8]) -> u32 {
+    let word = |s: &[u8], k: usize| {
+        u64::from_le_bytes(s[8 * k..8 * k + 8].try_into().expect("an 8-byte slice"))
+    };
+    // Bit j set iff byte j of the chunk differs.
+    let mut bytes = 0u32;
+    for k in 0..3 {
+        bytes |= nonzero_bytes(word(a, k) ^ word(b, k)) << (8 * k);
+    }
+    // Pixel p owns bits 3p..3p+2: fold each pixel's bits onto its lowest.
+    ((bytes | bytes >> 1 | bytes >> 2) & 0x0024_9249).count_ones()
+}
+
+/// One bit per byte of `x` (bit j ← byte j), set iff that byte is nonzero.
+fn nonzero_bytes(x: u64) -> u32 {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    // Each byte's high bit ends up set iff the byte is nonzero; the add
+    // cannot carry across bytes (0x7f + 0x7f < 0x100).
+    let high = (((x & LOW7) + LOW7) | x) & !LOW7;
+    // The multiplier moves byte j's flag (bit 8j) to bit 56 + j without
+    // collisions or carries, gathering all eight flags in the top byte.
+    ((high >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u32
 }
 
 #[cfg(test)]

@@ -86,27 +86,19 @@ pub fn draw_scene(frame_id: u64, objects: &[SceneObject], camera: f64, ambient: 
 ///
 /// Allocation-free, so pooled render paths can reuse one [`Frame`] buffer;
 /// the caller re-stamps the id via [`Frame::set_id`]. Pixels are bit-identical
-/// to [`draw_scene`]'s.
+/// to [`draw_scene`]'s and to [`draw_scene_into_reference`]'s: every
+/// floating-point expression is the reference's, evaluated in the same order;
+/// only the stores (whole rows through [`Frame::bytes_mut`]) and the
+/// float-to-byte conversion ([`trunc_u8`]) differ.
 pub fn draw_scene_into(frame: &mut Frame, objects: &[SceneObject], camera: f64, ambient: f64) {
-    let ambient = ambient.clamp(0.0, 1.0);
-    let amb = 0.5 + 0.5 * ambient;
-    // Background: a warm-neutral vertical gradient panned by the camera.
-    // Neutral hue keeps every palette color separable from the backdrop.
-    // The horizontal term depends only on x, so its sin() is hoisted out of
-    // the row loop (one evaluation per column instead of per pixel).
-    let mut col = [0.0f64; SIM_WIDTH];
-    for (x, c) in col.iter_mut().enumerate() {
-        let fx = (x as f64 / SIM_WIDTH as f64 + camera).rem_euclid(1.0);
-        // Non-harmonic horizontal frequency so no camera shift maps the
-        // background onto itself.
-        *c = 25.0 * (fx * std::f64::consts::TAU * 1.37).sin();
-    }
-    for y in 0..SIM_HEIGHT {
-        let fy = y as f64 / SIM_HEIGHT as f64;
-        let row = 40.0 + 60.0 * fy;
-        for (x, c) in col.iter().enumerate() {
+    let amb = ambient_scale(ambient);
+    let col = background_columns(camera);
+    for (y, row_px) in frame.bytes_mut().chunks_exact_mut(ROW_BYTES).enumerate() {
+        let row = background_row(y);
+        for (px, c) in row_px.chunks_exact_mut(3).zip(&col) {
+            // v ∈ [7.5, 125): row ∈ [40, 100), c ∈ [-25, 25], amb ∈ [0.5, 1].
             let v = (row + c) * amb;
-            frame.set_pixel(x, y, [(v * 0.80) as u8, (v * 0.74) as u8, (v * 0.68) as u8]);
+            px.copy_from_slice(&[trunc_u8(v * 0.80), trunc_u8(v * 0.74), trunc_u8(v * 0.68)]);
         }
     }
     for obj in objects {
@@ -114,30 +106,149 @@ pub fn draw_scene_into(frame: &mut Frame, objects: &[SceneObject], camera: f64, 
     }
 }
 
+/// The seed implementation of [`draw_scene_into`]: per-pixel
+/// [`Frame::set_pixel`] stores and saturating `as u8` conversions. Kept as
+/// the bit-exactness reference for tests and benchmarks.
+pub fn draw_scene_into_reference(
+    frame: &mut Frame,
+    objects: &[SceneObject],
+    camera: f64,
+    ambient: f64,
+) {
+    let amb = ambient_scale(ambient);
+    let col = background_columns(camera);
+    for y in 0..SIM_HEIGHT {
+        let row = background_row(y);
+        for (x, c) in col.iter().enumerate() {
+            let v = (row + c) * amb;
+            frame.set_pixel(x, y, [(v * 0.80) as u8, (v * 0.74) as u8, (v * 0.68) as u8]);
+        }
+    }
+    for obj in objects {
+        draw_object_reference(frame, obj);
+    }
+}
+
+/// Bytes per raster row.
+const ROW_BYTES: usize = SIM_WIDTH * 3;
+
+/// `2^52`: adding it to a non-negative `f64` below `2^52` that is already an
+/// integer leaves that integer in the low mantissa bits.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// `y as u8` for `y ∈ [0, 256)`, without the saturating conversion's range
+/// checks: `y.trunc() + 2^52` is exact for integers below `2^52`, so the low
+/// byte of its bit pattern is `trunc(y)`. Every value the rasterizer converts
+/// lies in that range (background `v · 0.80 < 100`, object channels
+/// `≤ 220 · 1.0`); the contract is checked in debug builds.
+#[inline]
+pub fn trunc_u8(y: f64) -> u8 {
+    debug_assert!((0.0..256.0).contains(&y), "trunc_u8 out of range: {y}");
+    (y.trunc() + TWO_POW_52).to_bits() as u8
+}
+
+/// Background brightness factor in `[0.5, 1]`.
+fn ambient_scale(ambient: f64) -> f64 {
+    0.5 + 0.5 * ambient.clamp(0.0, 1.0)
+}
+
+/// Background: a warm-neutral vertical gradient panned by the camera.
+/// Neutral hue keeps every palette color separable from the backdrop.
+/// The horizontal term depends only on x, so its sin() is hoisted out of
+/// the row loop (one evaluation per column instead of per pixel).
+fn background_columns(camera: f64) -> [f64; SIM_WIDTH] {
+    let mut col = [0.0f64; SIM_WIDTH];
+    for (x, c) in col.iter_mut().enumerate() {
+        let fx = (x as f64 / SIM_WIDTH as f64 + camera).rem_euclid(1.0);
+        // Non-harmonic horizontal frequency so no camera shift maps the
+        // background onto itself.
+        *c = 25.0 * (fx * std::f64::consts::TAU * 1.37).sin();
+    }
+    col
+}
+
+/// The vertical gradient term of row `y`, in `[40, 100)`.
+fn background_row(y: usize) -> f64 {
+    let fy = y as f64 / SIM_HEIGHT as f64;
+    40.0 + 60.0 * fy
+}
+
+/// An object's raster footprint: center, half extent (at least one pixel)
+/// and clipped pixel bounds (`x0..x1`, `y0..y1`).
+struct Footprint {
+    cx: f64,
+    cy: f64,
+    half: f64,
+    x0: usize,
+    x1: usize,
+    y0: usize,
+    y1: usize,
+}
+
+impl Footprint {
+    fn of(obj: &SceneObject) -> Self {
+        let half_h = ((obj.size * SIM_HEIGHT as f64) / 2.0).max(1.0);
+        let half_w = half_h; // square footprint in raster pixels
+        let cx = obj.x * SIM_WIDTH as f64;
+        let cy = obj.y * SIM_HEIGHT as f64;
+        Footprint {
+            cx,
+            cy,
+            half: half_h,
+            x0: (cx - half_w).floor().max(0.0) as usize,
+            x1: ((cx + half_w).ceil() as usize).min(SIM_WIDTH),
+            y0: (cy - half_h).floor().max(0.0) as usize,
+            y1: ((cy + half_h).ceil() as usize).min(SIM_HEIGHT),
+        }
+    }
+}
+
+/// Phase-dependent shading in `[0.65, 1]`: same class, different pixels.
+#[inline]
+fn shade(phase: f64, dx: f64, dy: f64) -> f64 {
+    0.65 + 0.35
+        * ((phase + dx * 0.25 + dy * 0.25) * std::f64::consts::TAU)
+            .sin()
+            .abs()
+}
+
 fn draw_object(frame: &mut Frame, obj: &SceneObject) {
-    let color = PALETTE[(obj.class & 0x0f) as usize];
-    let half_h = ((obj.size * SIM_HEIGHT as f64) / 2.0).max(1.0);
-    let half_w = half_h; // square footprint in raster pixels
-    let cx = obj.x * SIM_WIDTH as f64;
-    let cy = obj.y * SIM_HEIGHT as f64;
-    let x0 = (cx - half_w).floor().max(0.0) as usize;
-    let x1 = ((cx + half_w).ceil() as usize).min(SIM_WIDTH);
-    let y0 = (cy - half_h).floor().max(0.0) as usize;
-    let y1 = ((cy + half_h).ceil() as usize).min(SIM_HEIGHT);
-    for y in y0..y1 {
-        for x in x0..x1 {
+    let color = PALETTE[(obj.class & 0x0f) as usize].map(f64::from);
+    let fp = Footprint::of(obj);
+    // An object given out-of-range fields directly can lie wholly off-frame.
+    if fp.x0 >= fp.x1 {
+        return;
+    }
+    // `half ≥ 1`, so the reference's `half.max(1e-9)` divisor is `half`.
+    let dxs = (fp.x0..fp.x1).map(|x| (x as f64 + 0.5 - fp.cx) / fp.half);
+    let rows = frame.bytes_mut().chunks_exact_mut(ROW_BYTES);
+    for (y, row_px) in rows.enumerate().take(fp.y1).skip(fp.y0) {
+        let dy = (y as f64 + 0.5 - fp.cy) / fp.half;
+        let span = row_px[fp.x0 * 3..fp.x1 * 3].chunks_exact_mut(3);
+        for (px, dx) in span.zip(dxs.clone()) {
             // Rounded silhouette: skip pixels outside the ellipse.
-            let dx = (x as f64 + 0.5 - cx) / half_w.max(1e-9);
-            let dy = (y as f64 + 0.5 - cy) / half_h.max(1e-9);
             if dx * dx + dy * dy > 1.0 {
                 continue;
             }
-            // Phase-dependent shading: same class, different pixels.
-            let shade = 0.65
-                + 0.35
-                    * ((obj.phase + dx * 0.25 + dy * 0.25) * std::f64::consts::TAU)
-                        .sin()
-                        .abs();
+            let s = shade(obj.phase, dx, dy);
+            px.copy_from_slice(&color.map(|c| trunc_u8(c * s)));
+        }
+    }
+}
+
+fn draw_object_reference(frame: &mut Frame, obj: &SceneObject) {
+    let color = PALETTE[(obj.class & 0x0f) as usize];
+    let fp = Footprint::of(obj);
+    let (half_h, half_w) = (fp.half, fp.half);
+    for y in fp.y0..fp.y1 {
+        for x in fp.x0..fp.x1 {
+            // Rounded silhouette: skip pixels outside the ellipse.
+            let dx = (x as f64 + 0.5 - fp.cx) / half_w.max(1e-9);
+            let dy = (y as f64 + 0.5 - fp.cy) / half_h.max(1e-9);
+            if dx * dx + dy * dy > 1.0 {
+                continue;
+            }
+            let shade = shade(obj.phase, dx, dy);
             let rgb = [
                 (f64::from(color[0]) * shade) as u8,
                 (f64::from(color[1]) * shade) as u8,
